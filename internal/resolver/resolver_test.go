@@ -2,10 +2,12 @@ package resolver
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"lodify/internal/lod"
 	"lodify/internal/rdf"
+	"lodify/internal/store"
 )
 
 func world(t *testing.T) *lod.World {
@@ -247,5 +249,73 @@ func BenchmarkEvriResolveText(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.ResolveText("Tramonto sulla Mole Antonelliana a Torino", "it", 8)
+	}
+}
+
+// TestResolversIgnoreLabelOrder: a resource's labels reach the store
+// in no fixed order (the world generator ranges over label maps), so
+// every resolver must score a resource by its best label and return
+// the same candidates whichever label came first.
+func TestResolversIgnoreLabelOrder(t *testing.T) {
+	dbr := rdf.NewIRI(lod.DBpediaResource + "Louvre")
+	gnr := rdf.NewIRI(lod.GeonamesResource + "2988507/")
+	labels := []rdf.Quad{
+		{S: dbr, O: rdf.NewLangLiteral("Musée du Louvre", "fr")},
+		{S: dbr, O: rdf.NewLangLiteral("Louvre", "en")},
+		{S: dbr, O: rdf.NewLangLiteral("Louvre", "fr")},
+		{S: dbr, O: rdf.NewLangLiteral("Louvre Museum", "en")},
+		{S: gnr, O: rdf.NewLiteral("Le Louvre"), G: rdf.NewIRI(lod.GeonamesGraph)},
+		{S: gnr, O: rdf.NewLiteral("Louvre"), G: rdf.NewIRI(lod.GeonamesGraph)},
+	}
+	build := func(reversed bool) *store.Store {
+		st := store.New()
+		for i := range labels {
+			q := labels[i]
+			if reversed {
+				q = labels[len(labels)-1-i]
+			}
+			q.P = rdf.NewIRI(rdf.RDFSLabel)
+			if q.G.IsZero() {
+				q.G = rdf.NewIRI(lod.DBpediaGraph)
+			}
+			st.MustAdd(q)
+		}
+		return st
+	}
+	a, b := build(false), build(true)
+	terms := []struct{ term, lang string }{{"Louvre", "fr"}, {"Louvre", "en"}, {"louvre", ""}, {"Musée Louvre", "fr"}}
+	termPairs := [][2]TermResolver{
+		{NewDBpediaResolver(a), NewDBpediaResolver(b)},
+		{NewGeonamesResolver(a), NewGeonamesResolver(b)},
+		{NewSindiceResolver(a), NewSindiceResolver(b)},
+	}
+	for _, pair := range termPairs {
+		found := 0
+		for _, tc := range terms {
+			ca, cb := pair[0].ResolveTerm(tc.term, tc.lang, 8), pair[1].ResolveTerm(tc.term, tc.lang, 8)
+			if !reflect.DeepEqual(ca, cb) {
+				t.Fatalf("%s(%q, %q) depends on label order:\n  %+v\n  %+v", pair[0].Name(), tc.term, tc.lang, ca, cb)
+			}
+			found += len(ca)
+		}
+		if found == 0 {
+			t.Fatalf("%s: no candidates for any term", pair[0].Name())
+		}
+	}
+	textPairs := [][2]TextResolver{
+		{NewEvriResolver(a), NewEvriResolver(b)},
+		{NewZemantaResolver(a), NewZemantaResolver(b)},
+	}
+	for _, pair := range textPairs {
+		for _, lang := range []string{"fr", "en", ""} {
+			title := "Une soirée au Louvre"
+			ca, cb := pair[0].ResolveText(title, lang, 8), pair[1].ResolveText(title, lang, 8)
+			if len(ca) == 0 {
+				t.Fatalf("%s(%q, %q): no candidates", pair[0].Name(), title, lang)
+			}
+			if !reflect.DeepEqual(ca, cb) {
+				t.Fatalf("%s(%q, %q) depends on label order:\n  %+v\n  %+v", pair[0].Name(), title, lang, ca, cb)
+			}
+		}
 	}
 }

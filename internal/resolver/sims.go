@@ -42,26 +42,57 @@ func newLabelIndex(st *store.Store, graphs ...string) *labelIndex {
 	return ix
 }
 
-// lookup returns entries whose label contains every token of term.
+// lookup returns every entry whose label contains every token of
+// term — a resource may appear once per matching label.
 func (ix *labelIndex) lookup(term string) []labelEntry {
 	toks := store.Tokenize(term)
 	if len(toks) == 0 {
 		return nil
 	}
-	seen := map[rdf.Term]labelEntry{}
+	var out []labelEntry
 	for _, e := range ix.byToken[toks[0]] {
 		if store.ContainsAll(e.label.Value(), term) {
-			if _, dup := seen[e.res]; !dup {
-				seen[e.res] = e
-			}
+			out = append(out, e)
 		}
 	}
-	out := make([]labelEntry, 0, len(seen))
-	for _, e := range seen {
-		out = append(out, e)
+	return out
+}
+
+// scoredEntry is a label entry with the score a resolver gave it.
+type scoredEntry struct {
+	labelEntry
+	score float64
+}
+
+// bestPerResource scores every entry and keeps each resource's best
+// one, ties going to the smaller label text (then language tag), in
+// resource order. A resource's labels reach the store in no fixed
+// order, so neither the choice nor the output order may depend on it.
+func bestPerResource(es []labelEntry, score func(labelEntry) float64) []scoredEntry {
+	at := map[rdf.Term]int{}
+	var out []scoredEntry
+	for _, e := range es {
+		se := scoredEntry{e, score(e)}
+		i, seen := at[e.res]
+		if !seen {
+			at[e.res] = len(out)
+			out = append(out, se)
+		} else if se.beats(out[i]) {
+			out[i] = se
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].res.Compare(out[j].res) < 0 })
 	return out
+}
+
+func (a scoredEntry) beats(b scoredEntry) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	if a.label.Value() != b.label.Value() {
+		return a.label.Value() < b.label.Value()
+	}
+	return a.label.Lang() < b.label.Lang()
 }
 
 func (ix *labelIndex) typesOf(res rdf.Term) []rdf.Term {
@@ -90,7 +121,16 @@ func (r *DBpediaResolver) ResolveTerm(term, lang string, limit int) []Candidate 
 	var out []Candidate
 	redirects := rdf.NewIRI(lod.DBpediaOntology + "wikiPageRedirects")
 	disambiguates := rdf.NewIRI(lod.DBpediaOntology + "wikiPageDisambiguates")
-	for _, e := range r.ix.lookup(term) {
+	entries := bestPerResource(r.ix.lookup(term), func(e labelEntry) float64 {
+		score := textsim.JaroWinklerFold(term, e.label.Value())
+		// Language preference: labels matching the query language get
+		// a native boost.
+		if lang != "" && e.label.Lang() == lang {
+			score = clamp(score + 0.05)
+		}
+		return score
+	})
+	for _, e := range entries {
 		res := e.res
 		// Follow redirections to the canonical resource (§2.2.2:
 		// "The query also follows resource redirections").
@@ -102,19 +142,13 @@ func (r *DBpediaResolver) ResolveTerm(term, lang string, limit int) []Candidate 
 		if !r.st.FirstObject(res, disambiguates).IsZero() {
 			continue
 		}
-		score := textsim.JaroWinklerFold(term, e.label.Value())
-		// Language preference: labels matching the query language get
-		// a native boost.
-		if lang != "" && e.label.Lang() == lang {
-			score = clamp(score + 0.05)
-		}
 		out = append(out, Candidate{
 			Resource: res,
 			Label:    e.label.Value(),
 			Lang:     e.label.Lang(),
 			Graph:    GraphOf(res),
 			Types:    r.ix.typesOf(res),
-			Score:    score,
+			Score:    e.score,
 			Resolver: r.Name(),
 			Word:     term,
 		})
@@ -139,13 +173,16 @@ func (r *GeonamesResolver) Name() string { return "geonames" }
 // ResolveTerm implements TermResolver.
 func (r *GeonamesResolver) ResolveTerm(term, lang string, limit int) []Candidate {
 	var out []Candidate
-	for _, e := range r.ix.lookup(term) {
+	entries := bestPerResource(r.ix.lookup(term), func(e labelEntry) float64 {
+		return textsim.JaroWinklerFold(term, e.label.Value())
+	})
+	for _, e := range entries {
 		out = append(out, Candidate{
 			Resource: e.res,
 			Label:    e.label.Value(),
 			Graph:    GraphOf(e.res),
 			Types:    r.ix.typesOf(e.res),
-			Score:    textsim.JaroWinklerFold(term, e.label.Value()),
+			Score:    e.score,
 			Resolver: r.Name(),
 			Word:     term,
 		})
@@ -179,21 +216,18 @@ func (r *SindiceResolver) ResolveTerm(term, lang string, limit int) []Candidate 
 	}
 	// Fuzzy: any label sharing the first token is a candidate, even
 	// when the full term does not match (web-index noise).
-	seen := map[rdf.Term]bool{}
+	entries := bestPerResource(r.ix.byToken[toks[0]], func(e labelEntry) float64 {
+		return textsim.JaroWinklerFold(term, e.label.Value()) * 0.9 // noisier
+	})
 	var out []Candidate
-	for _, e := range r.ix.byToken[toks[0]] {
-		if seen[e.res] {
-			continue
-		}
-		seen[e.res] = true
-		score := textsim.JaroWinklerFold(term, e.label.Value()) * 0.9 // noisier
+	for _, e := range entries {
 		out = append(out, Candidate{
 			Resource: e.res,
 			Label:    e.label.Value(),
 			Lang:     e.label.Lang(),
 			Graph:    GraphOf(e.res),
 			Types:    r.ix.typesOf(e.res),
-			Score:    score,
+			Score:    e.score,
 			Resolver: r.Name(),
 			Word:     term,
 		})
@@ -253,12 +287,14 @@ func spotEntities(ix *labelIndex, title, lang string, limit int, name string, da
 				continue
 			}
 			span := strings.Join(toks[i:i+n], " ")
-			matched := false
+			// Exact folded-label equality is required for a spot.
+			var exact []labelEntry
 			for _, e := range ix.lookup(span) {
-				// Exact folded-label equality is required for a spot.
-				if textsim.Fold(e.label.Value()) != textsim.Fold(span) {
-					continue
+				if textsim.Fold(e.label.Value()) == textsim.Fold(span) {
+					exact = append(exact, e)
 				}
+			}
+			entries := bestPerResource(exact, func(e labelEntry) float64 {
 				score := damp
 				if lang != "" && e.label.Lang() != "" && e.label.Lang() != lang {
 					score *= 0.95
@@ -266,19 +302,21 @@ func spotEntities(ix *labelIndex, title, lang string, limit int, name string, da
 				if n > 1 {
 					score = clamp(score + 0.03) // multiword spans are strong evidence
 				}
+				return clamp(score * textsim.JaroWinklerFold(span, e.label.Value()))
+			})
+			for _, e := range entries {
 				out = append(out, Candidate{
 					Resource: e.res,
 					Label:    e.label.Value(),
 					Lang:     e.label.Lang(),
 					Graph:    GraphOf(e.res),
 					Types:    ix.typesOf(e.res),
-					Score:    clamp(score * textsim.JaroWinklerFold(span, e.label.Value())),
+					Score:    e.score,
 					Resolver: name,
 					Word:     span,
 				})
-				matched = true
 			}
-			if matched {
+			if len(entries) > 0 {
 				for j := i; j < i+n; j++ {
 					used[j] = true
 				}

@@ -52,8 +52,8 @@ func (e *Engine) QueryCtx(ctx context.Context, src string) (*Result, error) {
 	return e.ExecCtx(ctx, q)
 }
 
-// Exec executes a parsed query, recording query latency, the solution
-// count and per-algebra-node cardinalities in the Default registry.
+// Exec executes a parsed query, recording query latency and the
+// solution count in the Default registry.
 func (e *Engine) Exec(q *Query) (*Result, error) {
 	return e.ExecCtx(context.Background(), q)
 }
@@ -76,17 +76,12 @@ func (e *Engine) run(ctx context.Context, q *Query, profile bool) (*Result, *pro
 		ctx, sp = obs.StartSpan(ctx, "sparql "+formName(q.Form))
 	}
 	start := time.Now()
-	// Cardinality observation rides the profiling switch: a server with
-	// the slow-query log armed feeds the planner statistics sink on
-	// every query, while unprofiled library calls skip the per-pattern
-	// wildcard-graph Count probes (they walk every graph index).
-	ex := &executor{st: e.st, alg: newAlgCounters(), obsStats: profile}
+	ex := &executor{st: e.st}
 	if profile {
 		ex.prof = newProfiler(q.Form)
 	}
 	res, err := e.exec(ex, q)
 	elapsed := time.Since(start)
-	ex.alg.flush()
 	mRowsJoined.Add(atomic.LoadInt64(&ex.rowsJoined))
 	mRowsMaterialized.Add(ex.rowsMaterialized)
 	mQuerySeconds.Observe(elapsed.Seconds())

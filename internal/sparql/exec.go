@@ -2,26 +2,11 @@ package sparql
 
 import (
 	"regexp"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"lodify/internal/obs/stats"
 	"lodify/internal/rdf"
 	"lodify/internal/store"
-)
-
-// Parallel BGP evaluation tuning (package vars so tests can pin them).
-// A BGP whose input has at least bgpParallelThreshold rows fans out
-// across up to bgpMaxWorkers goroutines, each with its own read lease;
-// smaller inputs stay sequential so cheap queries pay no
-// synchronization overhead. Output order is identical either way:
-// workers own contiguous input chunks and results concatenate in chunk
-// order.
-var (
-	bgpParallelThreshold = 64
-	bgpMaxWorkers        = runtime.GOMAXPROCS(0)
 )
 
 // executor evaluates a parsed query against a store. Evaluation runs
@@ -34,9 +19,6 @@ type executor struct {
 	// graph restricts BGP matching when inside GRAPH <g> { }; zero
 	// means "any graph" (default + named union, Virtuoso-style).
 	graph rdf.Term
-	// alg accumulates per-node evaluation counts for the query; nil
-	// disables the accounting (bare executors in tests).
-	alg *algCounters
 	// dict assigns ids to query-computed terms; shared with
 	// sub-executors so ids stay comparable across (sub)query scopes.
 	dict *localDict
@@ -56,10 +38,6 @@ type executor struct {
 	// this execution — OPTIONAL inner BGPs re-evaluate per input row
 	// and must not re-plan (planner.go).
 	plans map[planKey]*bgpPlan
-	// obsStats feeds per-(predicate,graph) cardinality observations to
-	// the planner statistics sink as BGPs evaluate; false (bare
-	// executors in tests) disables collection.
-	obsStats bool
 }
 
 // evalQuery runs the WHERE clause and applies solution modifiers,
@@ -181,15 +159,12 @@ func (ex *executor) evalGroup(g *GroupPattern, input []row) []row {
 
 func (ex *executor) evalNode(n PatternNode, input []row) []row {
 	if ex.prof == nil {
-		out := ex.evalNodeInner(n, input)
-		ex.alg.record(nodeKind(n), len(out))
-		return out
+		return ex.evalNodeInner(n, input)
 	}
 	pn := ex.prof.enter(n, len(input))
 	start := time.Now()
 	out := ex.evalNodeInner(n, input)
 	ex.prof.exit(pn, time.Since(start), len(out), len(ex.fr.names))
-	ex.alg.record(nodeKind(n), len(out))
 	return out
 }
 
@@ -226,8 +201,7 @@ func (ex *executor) evalNodeInner(n PatternNode, input []row) []row {
 	case *GraphPattern:
 		return ex.evalGraph(node, input)
 	case *SubQuery:
-		sub := &executor{st: ex.st, regexCache: ex.regexCache, graph: ex.graph, alg: ex.alg, dict: ex.dict,
-			prof: ex.prof, obsStats: ex.obsStats}
+		sub := &executor{st: ex.st, regexCache: ex.regexCache, graph: ex.graph, dict: ex.dict, prof: ex.prof}
 		subSols, _ := sub.evalQuery(node.Query)
 		// rowsJoined is read atomically by concurrent observers (run's
 		// cancellation watchdog); the sub-executor is private here, but
@@ -367,8 +341,8 @@ func (ex *executor) graphID() (store.TermID, bool) {
 }
 
 // evalBGP joins the triple patterns against the store for every input
-// row, entirely in id space. Plain patterns join first
-// (selectivity-ordered); property-path patterns extend the result
+// row, entirely in id space: plain patterns compile, plan and run
+// through execPlan; property-path patterns extend the result
 // afterwards, when endpoint bindings are available.
 func (ex *executor) evalBGP(bgp *BGP, input []row) []row {
 	var plain, paths []TriplePattern
@@ -383,28 +357,11 @@ func (ex *executor) evalBGP(bgp *BGP, input []row) []row {
 	if len(plain) > 0 {
 		cp, okP := ex.compileBGP(plain)
 		gid, okG := ex.graphID()
-		switch {
-		case !okP || !okG:
-			cur = nil
-		default:
-			if ex.obsStats {
-				ex.observePredCards(plain, cp, gid)
-			}
-			if plan := ex.planBGP(bgp, cp, gid, len(cur), inputBoundMask(cur)); plan != nil {
-				cur = ex.execPlan(plan, plain, cp, gid, cur)
-				break
-			}
-			if len(cur) >= bgpParallelThreshold && bgpMaxWorkers > 1 {
-				cur = ex.joinRowsParallel(cp, gid, cur)
-				break
-			}
-			lease := ex.st.ReadLease()
-			ex.prof.addLease(lease.Wait())
-			out := ex.joinRowsSeq(lease, cp, gid, cur)
-			lease.Release()
-			atomic.AddInt64(&ex.rowsJoined, int64(len(out)))
-			cur = out
+		if !okP || !okG {
+			return nil
 		}
+		plan := ex.planBGP(bgp, cp, gid, len(cur), inputBoundMask(cur))
+		cur = ex.execPlan(plan, plain, cp, gid, cur)
 	}
 	for _, tp := range paths {
 		if len(cur) == 0 {
@@ -413,154 +370,4 @@ func (ex *executor) evalBGP(bgp *BGP, input []row) []row {
 		cur = ex.evalPathPattern(tp, cur)
 	}
 	return cur
-}
-
-// joinRowsSeq joins the compiled patterns for each input row under one
-// read lease. The per-row scratch state (binding row + used mask) is
-// reused across rows: backtracking fully restores it after each row.
-func (ex *executor) joinRowsSeq(lease *store.Lease, cp []compiledPattern, gid store.TermID, input []row) []row {
-	if len(input) == 0 {
-		return nil
-	}
-	used := make([]bool, len(cp))
-	scratch := make(row, len(input[0]))
-	var out []row
-	for _, r := range input {
-		copy(scratch, r)
-		out = ex.joinStep(lease, cp, used, len(cp), gid, scratch, out)
-	}
-	return out
-}
-
-// joinRowsParallel fans the join out over contiguous chunks of the
-// input rows. Each worker holds its own lease and produces only store
-// ids (pattern matching never interns), so workers share no mutable
-// state; chunk results concatenate in order, keeping the output
-// identical to the sequential path.
-func (ex *executor) joinRowsParallel(cp []compiledPattern, gid store.TermID, input []row) []row {
-	mBGPParallel.Inc()
-	workers := bgpMaxWorkers
-	if workers > len(input) {
-		workers = len(input)
-	}
-	chunk := (len(input) + workers - 1) / workers
-	results := make([][]row, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(input) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(input) {
-			hi = len(input)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			lease := ex.st.ReadLease()
-			defer lease.Release()
-			ex.prof.addLease(lease.Wait())
-			out := ex.joinRowsSeq(lease, cp, gid, input[lo:hi])
-			atomic.AddInt64(&ex.rowsJoined, int64(len(out)))
-			results[w] = out
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := 0
-	for _, rs := range results {
-		total += len(rs)
-	}
-	out := make([]row, 0, total)
-	for _, rs := range results {
-		out = append(out, rs...)
-	}
-	return out
-}
-
-// joinStep recursively joins the unused patterns into cur, greedily
-// choosing the most selective one next (CountIDs estimates under the
-// current bindings drive the order, exactly as the term-space executor
-// did with Count). Bindings happen in place with backtracking; cur is
-// cloned only when a complete solution is emitted.
-func (ex *executor) joinStep(lease *store.Lease, cp []compiledPattern, used []bool, remaining int, gid store.TermID, cur row, out []row) []row {
-	if remaining == 0 {
-		return append(out, cur.clone())
-	}
-	best, bestCount := -1, int(^uint(0)>>1)
-	for i := range cp {
-		if used[i] {
-			continue
-		}
-		s, p, o := resolveIDs(cp[i], cur)
-		c := lease.CountIDs(s, p, o, gid)
-		if c == 0 {
-			return out // a pattern with no matches kills this branch
-		}
-		if c < bestCount {
-			best, bestCount = i, c
-		}
-	}
-	pat := cp[best]
-	used[best] = true
-	s, p, o := resolveIDs(pat, cur)
-	lease.MatchIDs(s, p, o, gid, func(ms, mp, mo, _ store.TermID) bool {
-		// Bind the unbound variable positions, tracking slots to undo.
-		// Already-bound slots were substituted into the scan pattern, so
-		// they can only conflict on repeated-variable patterns.
-		var touched [3]int
-		n := 0
-		bind := func(ct cpTerm, val store.TermID) bool {
-			if ct.slot < 0 {
-				return true
-			}
-			if cur[ct.slot] != 0 {
-				return cur[ct.slot] == val
-			}
-			cur[ct.slot] = val
-			touched[n] = ct.slot
-			n++
-			return true
-		}
-		if bind(pat.s, ms) && bind(pat.p, mp) && bind(pat.o, mo) {
-			out = ex.joinStep(lease, cp, used, remaining-1, gid, cur, out)
-		}
-		for i := 0; i < n; i++ {
-			cur[touched[i]] = 0
-		}
-		return true
-	})
-	used[best] = false
-	return out
-}
-
-// observePredCards feeds the planner statistics sink: for every plain
-// pattern with a constant predicate, the maintained per-(predicate,
-// graph) count plus distinct-subject/object estimates, recorded
-// straight into stats.Default (struct keys and in-place entry
-// updates: no per-query allocation). PredStatIDs merges the per-shard
-// series under shard read locks — cheaper than the CountIDs index
-// walk this used to pay — and must not run under a held read lease;
-// here it doesn't, leases are taken later inside the join paths.
-func (ex *executor) observePredCards(plain []TriplePattern, cp []compiledPattern, gid store.TermID) {
-	for i, tp := range plain {
-		if tp.P.IsVar() || cp[i].p.slot >= 0 || cp[i].p.id == 0 {
-			continue
-		}
-		ps := ex.st.PredStatIDs(cp[i].p.id, gid)
-		stats.Default.ObserveCard(tp.P.Term.Value(), ex.graph.Value(),
-			ps.Count, ps.DistinctS, ps.DistinctO)
-	}
-}
-
-// resolveIDs substitutes the current bindings into a compiled pattern,
-// yielding the id triple to scan for (0 = wildcard).
-func resolveIDs(p compiledPattern, cur row) (s, pr, o store.TermID) {
-	get := func(ct cpTerm) store.TermID {
-		if ct.slot >= 0 {
-			return cur[ct.slot]
-		}
-		return ct.id
-	}
-	return get(p.s), get(p.p), get(p.o)
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"lodify/internal/obs"
-	"lodify/internal/obs/stats"
 )
 
 // albumJoinQuery is the 3-join shape of the §2.3 album reads: content
@@ -53,7 +52,8 @@ func TestNormalizeQuery(t *testing.T) {
 }
 
 // TestExplainStaticPlan: EXPLAIN without ANALYZE never executes — it
-// reports the plan shape with index-derived row estimates only.
+// reports the plan shape with statistics-derived row estimates only,
+// per join step too, also for a BGP above the DP bound.
 func TestExplainStaticPlan(t *testing.T) {
 	e := NewEngine(benchStore())
 	exp, err := e.Explain(context.Background(), benchPrefixes+albumJoinQuery, false)
@@ -75,6 +75,32 @@ func TestExplainStaticPlan(t *testing.T) {
 	}
 	if bgp.Evals != 0 || bgp.WallNs != 0 {
 		t.Fatalf("static plan carries runtime figures: %+v", bgp)
+	}
+
+	// Eleven patterns exceed plannerMaxDP: the greedy order still
+	// yields one estimated step per pattern.
+	wide := benchPrefixes + `SELECT * WHERE {
+	  ?c a sioct:MicroblogPost . ?c foaf:maker ?u . ?c rev:rating ?r .
+	  ?c <http://ex.org/p/title> ?ti . ?c <http://ex.org/p/tag> ?tag . ?u foaf:name ?n .
+	  ?u a foaf:Person . ?u foaf:knows ?f . ?f foaf:name ?fn .
+	  ?f a foaf:Person . ?c2 foaf:maker ?f .
+	}`
+	if plannerMaxDP >= 11 {
+		t.Fatalf("plannerMaxDP = %d: the wide BGP no longer exceeds it", plannerMaxDP)
+	}
+	exp, err = e.Explain(context.Background(), wide, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bgp = findNode(exp.Plan, "bgp")
+	if bgp == nil || bgp.EstRows <= 0 || len(bgp.Children) != 11 {
+		t.Fatalf("wide BGP: want estRows and 11 step children:\n%s", exp.Plan.Text())
+	}
+	for _, c := range bgp.Children {
+		if (c.Op != "scan" && c.Op != "hash-join") || c.EstRows <= 0 {
+			t.Fatalf("wide BGP step %s [%s] est=%d, want scan/hash-join with estRows",
+				c.Op, c.Detail, c.EstRows)
+		}
 	}
 }
 
@@ -170,20 +196,6 @@ func TestProfilingDisabledByDefault(t *testing.T) {
 	}
 	if len(res.Solutions) == 0 {
 		t.Fatal("query is vacuous")
-	}
-}
-
-// TestExplainStatsSinkObservation: executing a query feeds observed
-// per-predicate cardinalities into the stats sink for planner v2
-// (synchronously, before the run returns).
-func TestExplainStatsSinkObservation(t *testing.T) {
-	e := NewEngine(benchStore())
-	if _, err := e.Query(benchPrefixes + albumJoinQuery); err != nil {
-		t.Fatal(err)
-	}
-	entry, ok := stats.Default.Lookup("http://xmlns.com/foaf/0.1/maker", "")
-	if !ok || entry.Last <= 0 {
-		t.Fatalf("foaf:maker cardinality not observed: %+v ok=%v", entry, ok)
 	}
 }
 

@@ -22,47 +22,7 @@ var (
 	mBGPParallel = obs.C("lodify_sparql_bgp_parallel_total")
 )
 
-// algCounters accumulates per-algebra-node evaluation counts and
-// output cardinalities for one query run. The executor is
-// single-goroutine, so plain ints suffice; flush publishes the totals
-// to the Default registry in one batch instead of contending on it at
-// every node.
-type algCounters struct {
-	evals map[string]int
-	sols  map[string]int
-}
-
-func newAlgCounters() *algCounters {
-	return &algCounters{evals: map[string]int{}, sols: map[string]int{}}
-}
-
-// record notes one evaluation of an algebra node kind and the number
-// of solutions it produced.
-func (a *algCounters) record(node string, produced int) {
-	if a == nil {
-		return
-	}
-	a.evals[node]++
-	a.sols[node] += produced
-}
-
-// flush publishes the accumulated per-node counts:
-//
-//	lodify_sparql_algebra_evals_total{node}
-//	lodify_sparql_algebra_solutions_total{node}
-func (a *algCounters) flush() {
-	if a == nil {
-		return
-	}
-	for node, n := range a.evals {
-		obs.C("lodify_sparql_algebra_evals_total", "node", node).Add(int64(n))
-	}
-	for node, n := range a.sols {
-		obs.C("lodify_sparql_algebra_solutions_total", "node", node).Add(int64(n))
-	}
-}
-
-// nodeKind labels a pattern node for the algebra metrics.
+// nodeKind labels a pattern node in plan trees and per-operator metrics.
 func nodeKind(n PatternNode) string {
 	switch n.(type) {
 	case *BGP:

@@ -1,87 +1,69 @@
 package sparql
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lodify/internal/store"
 )
 
-// Execution of cost-based BGP plans (planner.go). The step order is
-// fixed, so no per-row count probes are paid. Consecutive scan steps
-// fuse into one backtracking nested-loop run with the same in-place
-// binding scratch the greedy path uses (solutions clone only at
-// emission); hash steps evaluate their pattern standalone once and
-// merge through joinRowsHash. Under a profiler the steps instead run
-// one at a time, materialized, so EXPLAIN ANALYZE can report actual
-// per-step cardinalities against the estimates.
+// Execution of BGP plans (planner.go). The step order is fixed, so no
+// per-row count probes are paid. Consecutive scan steps fuse into one
+// backtracking nested-loop run with in-place binding scratch
+// (solutions clone only at emission); hash steps evaluate their
+// pattern standalone once and merge through joinRowsHash. Under a
+// profiler every step runs on its own, materialized, so EXPLAIN
+// ANALYZE can report actual per-step cardinalities against the
+// estimates.
 
-// execPlan runs a cost-based plan over the input rows.
+// Parallel BGP evaluation tuning (package vars so tests can pin them).
+// A scan run whose input has at least bgpParallelThreshold rows fans
+// out across up to bgpMaxWorkers goroutines, each with its own read
+// lease; smaller inputs stay sequential so cheap queries pay no
+// synchronization overhead. Output order is identical either way:
+// workers own contiguous input chunks and results concatenate in chunk
+// order.
+var (
+	bgpParallelThreshold = 64
+	bgpMaxWorkers        = runtime.GOMAXPROCS(0)
+)
+
+// execPlan runs a plan over the input rows.
 func (ex *executor) execPlan(plan *bgpPlan, plain []TriplePattern, cp []compiledPattern, gid store.TermID, input []row) []row {
 	if plan.empty || len(input) == 0 {
 		return nil
 	}
-	if ex.prof != nil {
-		return ex.execPlanProfiled(plan, plain, cp, gid, input)
-	}
-	cur := input
-	for i := 0; i < len(plan.steps); {
-		if len(cur) == 0 {
-			return nil
-		}
-		if plan.steps[i].hash {
-			cur = joinRowsHash(cur, ex.scanPattern(cp[plan.steps[i].pat], gid))
-			atomic.AddInt64(&ex.rowsJoined, int64(len(cur)))
-			i++
-			continue
-		}
-		// Fuse the run of consecutive scan steps into one backtracking
-		// pass — no intermediate materialization between them.
-		j := i
-		for j < len(plan.steps) && !plan.steps[j].hash {
-			j++
-		}
-		order := make([]int, 0, j-i)
-		for k := i; k < j; k++ {
-			order = append(order, plan.steps[k].pat)
-		}
-		cur = ex.joinFixed(order, cp, gid, cur)
-		i = j
-	}
-	return cur
-}
-
-// execPlanProfiled runs the plan step-at-a-time, recording one child
-// plan node per join step with estimated and actual cardinalities.
-func (ex *executor) execPlanProfiled(plan *bgpPlan, plain []TriplePattern, cp []compiledPattern, gid store.TermID, input []row) []row {
 	ex.prof.setTopEst(plan.est)
 	cur := input
-	for i := range plan.steps {
+	for i := 0; i < len(plan.steps); {
 		step := plan.steps[i]
-		op := "scan"
-		if step.hash {
-			op = "hash-join"
+		// Unprofiled, a run of consecutive scan steps fuses into one
+		// backtracking pass — no intermediate materialization between
+		// them. Profiled, every step is its own run.
+		j := i + 1
+		for ex.prof == nil && !step.hash && j < len(plan.steps) && !plan.steps[j].hash {
+			j++
 		}
-		detail := ""
-		if step.pat < len(plain) {
-			detail = patternText(plain[step.pat])
-		}
-		child := ex.prof.stepChild(stepKey{plan: plan, idx: i}, op, detail, estRows(step.est))
-		start := time.Now()
+		child := ex.prof.stepChild(stepKey{plan: plan, idx: i}, step, plain[step.pat])
+		start := ex.prof.now()
 		rowsIn := len(cur)
-		// Mirror the unprofiled path's empty-input early-out: a hash
-		// step's standalone build scan can produce no join rows, so only
-		// the zero-actuals profile node is recorded.
+		// A step after an empty one records zero actuals only: a hash
+		// step's standalone build scan could produce no join rows.
 		if rowsIn > 0 {
 			if step.hash {
 				cur = joinRowsHash(cur, ex.scanPattern(cp[step.pat], gid))
 				atomic.AddInt64(&ex.rowsJoined, int64(len(cur)))
 			} else {
-				cur = ex.joinFixed([]int{step.pat}, cp, gid, cur)
+				order := make([]int, 0, j-i)
+				for k := i; k < j; k++ {
+					order = append(order, plan.steps[k].pat)
+				}
+				cur = ex.joinFixed(order, cp, gid, cur)
 			}
 		}
-		ex.prof.stepExit(child, time.Since(start), rowsIn, len(cur), len(ex.fr.names))
+		ex.prof.stepExit(child, start, rowsIn, len(cur), len(ex.fr.names))
+		i = j
 	}
 	return cur
 }
@@ -93,8 +75,16 @@ type stepKey struct {
 	idx  int
 }
 
+// stepOp names a plan step's join algorithm in plan trees.
+func stepOp(s planStep) string {
+	if s.hash {
+		return "hash-join"
+	}
+	return "scan"
+}
+
 // joinFixed extends the input rows through the given pattern order,
-// fanning out like the greedy path when the input is large.
+// fanning out over parallel workers when the input is large.
 func (ex *executor) joinFixed(order []int, cp []compiledPattern, gid store.TermID, input []row) []row {
 	if len(input) >= bgpParallelThreshold && bgpMaxWorkers > 1 {
 		return ex.joinFixedParallel(order, cp, gid, input)
@@ -108,7 +98,8 @@ func (ex *executor) joinFixed(order []int, cp []compiledPattern, gid store.TermI
 }
 
 // joinFixedSeq is the single-lease nested-loop run over the fixed
-// pattern order, with the same scratch-row backtracking as joinStep.
+// pattern order. The per-row scratch binding row is reused across
+// rows: backtracking fully restores it after each row.
 func (ex *executor) joinFixedSeq(lease *store.Lease, order []int, cp []compiledPattern, gid store.TermID, input []row) []row {
 	if len(input) == 0 {
 		return nil
@@ -122,8 +113,11 @@ func (ex *executor) joinFixedSeq(lease *store.Lease, order []int, cp []compiledP
 	return out
 }
 
-// joinFixedParallel mirrors joinRowsParallel: contiguous input chunks,
-// one lease per worker, results concatenated in chunk order.
+// joinFixedParallel fans the run out over contiguous chunks of the
+// input rows. Each worker holds its own lease and produces only store
+// ids (pattern matching never interns), so workers share no mutable
+// state; chunk results concatenate in order, keeping the output
+// identical to the sequential path.
 func (ex *executor) joinFixedParallel(order []int, cp []compiledPattern, gid store.TermID, input []row) []row {
 	mBGPParallel.Inc()
 	workers := bgpMaxWorkers
@@ -162,9 +156,9 @@ func (ex *executor) joinFixedParallel(order []int, cp []compiledPattern, gid sto
 	return out
 }
 
-// fixedStep is joinStep without the greedy selection: the pattern at
-// order[k] extends cur, recursing down the fixed order. Bindings are
-// in-place with backtracking; complete rows clone at emission.
+// fixedStep extends cur by the pattern at order[k], recursing down the
+// fixed order. Bindings are in-place with backtracking; complete rows
+// clone at emission.
 func (ex *executor) fixedStep(lease *store.Lease, order []int, cp []compiledPattern, k int, gid store.TermID, cur row, out []row) []row {
 	if k == len(order) {
 		return append(out, cur.clone())
@@ -172,6 +166,9 @@ func (ex *executor) fixedStep(lease *store.Lease, order []int, cp []compiledPatt
 	pat := cp[order[k]]
 	s, p, o := resolveIDs(pat, cur)
 	lease.MatchIDs(s, p, o, gid, func(ms, mp, mo, _ store.TermID) bool {
+		// Bind the unbound variable positions, tracking slots to undo.
+		// Already-bound slots were substituted into the scan pattern, so
+		// they can only conflict on repeated-variable patterns.
 		var touched [3]int
 		n := 0
 		bind := func(ct cpTerm, val store.TermID) bool {
@@ -195,6 +192,18 @@ func (ex *executor) fixedStep(lease *store.Lease, order []int, cp []compiledPatt
 		return true
 	})
 	return out
+}
+
+// resolveIDs substitutes the current bindings into a compiled pattern,
+// yielding the id triple to scan for (0 = wildcard).
+func resolveIDs(p compiledPattern, cur row) (s, pr, o store.TermID) {
+	get := func(ct cpTerm) store.TermID {
+		if ct.slot >= 0 {
+			return cur[ct.slot]
+		}
+		return ct.id
+	}
+	return get(p.s), get(p.p), get(p.o)
 }
 
 // scanPattern evaluates one pattern standalone — constants only, every

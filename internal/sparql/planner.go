@@ -1,21 +1,15 @@
 package sparql
 
 import (
-	"fmt"
 	"math"
-	"sync/atomic"
 
 	"lodify/internal/store"
 )
 
-// Cost-based BGP join planning (DESIGN.md §15). The greedy executor
-// re-orders patterns per input row with CountIDs probes — adaptive,
-// but it pays O(patterns²) count probes per row and can never build a
-// hash join. The cost planner instead reads the store's live
-// per-(predicate, graph) statistics (exact counts + distinct-subject/
-// object sketches, store/pstats.go) once per BGP, runs a bottom-up
-// dynamic program over pattern subsets, and fixes both the join order
-// and the per-edge algorithm:
+// Cost-based BGP join planning (DESIGN.md §15). The planner reads the
+// store's live per-(predicate, graph) statistics (exact counts +
+// distinct-subject/object sketches, store/pstats.go) once per BGP and
+// fixes both the join order and the per-edge algorithm:
 //
 //   - scan: nested-loop index extension — for each intermediate row,
 //     substitute its bindings into the pattern and scan the matches.
@@ -32,45 +26,14 @@ import (
 // need the right order of magnitude — mis-estimations surface in
 // EXPLAIN ANALYZE as miss factors.
 //
-// The DP is exact (left-deep over all 2^n subsets) up to plannerMaxDP
-// patterns; larger BGPs, unknown planner modes and >64-slot frames
-// fall back to the greedy path, which stays fully supported.
-
-// Planner mode (package-level so benches/tests can pin it; atomic so
-// concurrent queries may race with a flag flip safely).
-const (
-	plannerCost int32 = iota
-	plannerGreedy
-)
-
-var plannerModeVar atomic.Int32
+// The order is an exact left-deep dynamic program over all 2^n pattern
+// subsets up to plannerMaxDP patterns; larger BGPs get a greedy static
+// order from the same cost model (cheapest next edge, O(n²)). Either
+// way the plan runs through the same fixed-step executor (planexec.go).
 
 // plannerMaxDP bounds the exact DP: 2^10 subset states. Above it the
 // greedy order is used (package var so tests can lower it).
 var plannerMaxDP = 10
-
-// SetPlannerMode selects the BGP join-ordering strategy: "cost"
-// (statistics-driven DP, the default) or "greedy" (legacy per-row
-// selectivity ordering).
-func SetPlannerMode(mode string) error {
-	switch mode {
-	case "cost":
-		plannerModeVar.Store(plannerCost)
-	case "greedy":
-		plannerModeVar.Store(plannerGreedy)
-	default:
-		return fmt.Errorf("sparql: unknown planner mode %q (want cost or greedy)", mode)
-	}
-	return nil
-}
-
-// PlannerMode reports the current mode name.
-func PlannerMode() string {
-	if plannerModeVar.Load() == plannerGreedy {
-		return "greedy"
-	}
-	return "cost"
-}
 
 // Cost-model constants, in arbitrary "row visit" units. Only their
 // ratios matter: a scan pays one index seek per input row, a hash join
@@ -156,20 +119,19 @@ func resolveConsts(p compiledPattern) (s, pr, o store.TermID) {
 	return get(p.s), get(p.p), get(p.o)
 }
 
-// patSlotMask returns the pattern's variable slots as a bitmask, and
-// ok=false when a slot exceeds the 64-bit planning domain.
-func patSlotMask(p compiledPattern) (uint64, bool) {
+// patSlotMask returns the pattern's variable slots as a bitmask. Slots
+// beyond the 64-bit planning domain are left out — they count as never
+// bound for estimates, like inputBoundMask treats them. The masks only
+// steer the join order: the executor binds slots at run time, so any
+// order returns the same answers.
+func patSlotMask(p compiledPattern) uint64 {
 	var m uint64
 	for _, ct := range [3]cpTerm{p.s, p.p, p.o} {
-		if ct.slot < 0 {
-			continue
+		if ct.slot >= 0 && ct.slot < 64 {
+			m |= 1 << uint(ct.slot)
 		}
-		if ct.slot >= 64 {
-			return 0, false
-		}
-		m |= 1 << uint(ct.slot)
 	}
-	return m, true
+	return m
 }
 
 // probeCard estimates how many matches one intermediate row's scan of
@@ -186,36 +148,41 @@ func probeCard(p compiledPattern, ps patStat, bound uint64) float64 {
 	return math.Max(pc, 1e-9)
 }
 
-// planBGP returns the cost-based plan for the compiled patterns, or
-// nil to request the greedy fallback (greedy mode pinned, too many
-// patterns, or an unplannable frame). Plans cache per (node, gid) on
-// the executor; inputRows is the first call's input cardinality and
-// scales the scan-vs-hash decision.
-func (ex *executor) planBGP(node *BGP, cp []compiledPattern, gid store.TermID, inputRows int, inputMask uint64) *bgpPlan {
-	if plannerModeVar.Load() != plannerCost || len(cp) == 0 || len(cp) > plannerMaxDP {
-		return nil
+// edgeCost prices joining one pattern (standalone statistics ps,
+// per-row match estimate pc) onto card intermediate rows, choosing
+// between an index-scan extension and a hash join.
+func edgeCost(card float64, ps patStat, pc float64) (cost float64, hash bool) {
+	out := card * pc
+	scan := card*costSeek + out
+	h := ps.base*costBuild + card*costProbe + out
+	if h < scan {
+		return h, true
 	}
-	if ex.plans != nil {
-		if plan, ok := ex.plans[planKey{node, gid, inputMask}]; ok {
-			return plan
-		}
+	return scan, false
+}
+
+// planBGP returns the plan for the compiled patterns. Plans cache per
+// (node, gid, input mask) on the executor; inputRows is the first
+// call's input cardinality and scales the scan-vs-hash decision.
+func (ex *executor) planBGP(node *BGP, cp []compiledPattern, gid store.TermID, inputRows int, inputMask uint64) *bgpPlan {
+	key := planKey{node, gid, inputMask}
+	if plan, ok := ex.plans[key]; ok {
+		return plan
 	}
 	plan := ex.buildPlan(cp, gid, inputRows, inputMask)
-	if plan != nil {
-		if ex.plans == nil {
-			ex.plans = make(map[planKey]*bgpPlan)
-		}
-		ex.plans[planKey{node, gid, inputMask}] = plan
+	if ex.plans == nil {
+		ex.plans = make(map[planKey]*bgpPlan)
 	}
+	ex.plans[key] = plan
 	return plan
 }
 
-// buildPlan runs the subset DP. Exponential in len(cp), bounded by
-// plannerMaxDP (≤ 1024 states x ≤ 10 transitions). inputMask carries
-// the slots the input rows already bind (a VALUES prefix, an earlier
-// group): those count as bound from the first step, which is what
-// steers the first join away from standalone hash builds when the
-// input is already selective.
+// buildPlan orders the patterns — by the subset DP up to plannerMaxDP
+// patterns, greedily above — then fills the cumulative estimate of
+// every step. inputMask carries the slots the input rows already bind
+// (a VALUES prefix, an earlier group): those count as bound from the
+// first step, which is what steers the first join away from standalone
+// hash builds when the input is already selective.
 func (ex *executor) buildPlan(cp []compiledPattern, gid store.TermID, inputRows int, inputMask uint64) *bgpPlan {
 	n := len(cp)
 	stats := make([]patStat, n)
@@ -228,13 +195,28 @@ func (ex *executor) buildPlan(cp []compiledPattern, gid store.TermID, inputRows 
 			// nothing at planning time.
 			return &bgpPlan{empty: true}
 		}
-		m, ok := patSlotMask(cp[i])
-		if !ok {
-			return nil
-		}
-		masks[i] = m
+		masks[i] = patSlotMask(cp[i])
 	}
+	card := math.Max(float64(inputRows), 1)
+	var steps []planStep
+	if n <= plannerMaxDP {
+		steps = dpOrder(cp, stats, masks, card, inputMask)
+	} else {
+		steps = greedyOrder(cp, stats, masks, card, inputMask)
+	}
+	bound := inputMask
+	for i := range steps {
+		card *= probeCard(cp[steps[i].pat], stats[steps[i].pat], bound)
+		steps[i].est = card
+		bound |= masks[steps[i].pat]
+	}
+	return &bgpPlan{steps: steps, est: estRows(card)}
+}
 
+// dpOrder is the exact left-deep subset DP: exponential in len(cp)
+// (≤ 2^plannerMaxDP states x ≤ plannerMaxDP transitions).
+func dpOrder(cp []compiledPattern, stats []patStat, masks []uint64, card float64, inputMask uint64) []planStep {
+	n := len(cp)
 	type dpEntry struct {
 		cost, card float64
 		last       int8
@@ -242,7 +224,7 @@ func (ex *executor) buildPlan(cp []compiledPattern, gid store.TermID, inputRows 
 		ok         bool
 	}
 	dp := make([]dpEntry, 1<<uint(n))
-	dp[0] = dpEntry{card: math.Max(float64(inputRows), 1), ok: true}
+	dp[0] = dpEntry{card: card, ok: true}
 	for mask := 0; mask < len(dp); mask++ {
 		if !dp[mask].ok {
 			continue
@@ -259,38 +241,50 @@ func (ex *executor) buildPlan(cp []compiledPattern, gid store.TermID, inputRows 
 				continue
 			}
 			pc := probeCard(cp[j], stats[j], bound)
-			out := e.card * pc
-			scan := e.cost + e.card*costSeek + out
-			hash := e.cost + stats[j].base*costBuild + e.card*costProbe + out
-			cost, useHash := scan, false
-			if hash < scan {
-				cost, useHash = hash, true
-			}
+			c, useHash := edgeCost(e.card, stats[j], pc)
+			cost := e.cost + c
 			nm := mask | 1<<uint(j)
 			if !dp[nm].ok || cost < dp[nm].cost {
-				dp[nm] = dpEntry{cost: cost, card: out, last: int8(j), hash: useHash, ok: true}
+				dp[nm] = dpEntry{cost: cost, card: e.card * pc, last: int8(j), hash: useHash, ok: true}
 			}
 		}
 	}
-
-	// Reconstruct the step order back-to-front, then fill cumulative
-	// estimates forward.
-	full := len(dp) - 1
+	// Reconstruct the step order back-to-front.
 	steps := make([]planStep, n)
-	for mask := full; mask != 0; {
+	for mask := len(dp) - 1; mask != 0; {
 		e := dp[mask]
 		n--
 		steps[n] = planStep{pat: int(e.last), hash: e.hash}
 		mask &^= 1 << uint(e.last)
 	}
-	card := dp[0].card
+	return steps
+}
+
+// greedyOrder builds a static order for BGPs above the DP bound: at
+// every step it takes the pattern whose edge is cheapest under the
+// same cost model, given everything joined so far. O(n²).
+func greedyOrder(cp []compiledPattern, stats []patStat, masks []uint64, card float64, inputMask uint64) []planStep {
+	steps := make([]planStep, 0, len(cp))
+	used := make([]bool, len(cp))
 	bound := inputMask
-	for i := range steps {
-		card *= probeCard(cp[steps[i].pat], stats[steps[i].pat], bound)
-		steps[i].est = card
-		bound |= masks[steps[i].pat]
+	for len(steps) < len(cp) {
+		best, bestCost, bestHash, bestPC := -1, 0.0, false, 0.0
+		for j := range cp {
+			if used[j] {
+				continue
+			}
+			pc := probeCard(cp[j], stats[j], bound)
+			c, h := edgeCost(card, stats[j], pc)
+			if best < 0 || c < bestCost {
+				best, bestCost, bestHash, bestPC = j, c, h, pc
+			}
+		}
+		used[best] = true
+		steps = append(steps, planStep{pat: best, hash: bestHash})
+		card *= bestPC
+		bound |= masks[best]
 	}
-	return &bgpPlan{steps: steps, est: estRows(dp[full].card)}
+	return steps
 }
 
 // inputBoundMask samples the input rows and returns the slots bound in

@@ -126,38 +126,57 @@ func (p *profiler) addLease(wait time.Duration) {
 }
 
 // setTopEst records the planner estimate on the operator currently on
-// top of the stack (the BGP node, during execPlanProfiled), keeping
-// the first estimate on re-evaluation.
+// top of the stack (the BGP node, during execPlan), keeping the first
+// estimate on re-evaluation. Nil-safe.
 func (p *profiler) setTopEst(est int64) {
+	if p == nil {
+		return
+	}
 	top := p.stack[len(p.stack)-1]
 	if top.EstRows == 0 {
 		top.EstRows = est
 	}
 }
 
-// stepChild finds or creates a child of the current stack top keyed by
-// an arbitrary identity — planner join steps, which are not syntax
-// nodes — without pushing it onto the stack (leases taken during a
-// step keep attributing to the owning BGP).
-func (p *profiler) stepChild(key any, op, detail string, est int64) *PlanNode {
+// stepChild finds or creates the child of the current stack top for
+// one plan step — planner join steps are not syntax nodes — without
+// pushing it onto the stack (leases taken during a step keep
+// attributing to the owning BGP). Nil-safe: returns nil.
+func (p *profiler) stepChild(key stepKey, step planStep, tp TriplePattern) *PlanNode {
+	if p == nil {
+		return nil
+	}
 	parent := p.stack[len(p.stack)-1]
 	if parent.children == nil {
 		parent.children = map[any]*PlanNode{}
 	}
 	pn, ok := parent.children[key]
 	if !ok {
-		pn = &PlanNode{Op: op, Detail: detail, EstRows: est}
+		pn = &PlanNode{Op: stepOp(step), Detail: patternText(tp), EstRows: estRows(step.est)}
 		parent.children[key] = pn
 		parent.Children = append(parent.Children, pn)
 	}
 	return pn
 }
 
-// stepExit accumulates one execution of a stepChild node.
-func (p *profiler) stepExit(pn *PlanNode, wall time.Duration, rowsIn, rowsOut, rowWidth int) {
+// now starts a step clock: the current time when profiling, the zero
+// time otherwise (unprofiled runs take no timestamps).
+func (p *profiler) now() time.Time {
+	if p == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// stepExit accumulates one execution of a stepChild node begun at
+// start. Nil-safe.
+func (p *profiler) stepExit(pn *PlanNode, start time.Time, rowsIn, rowsOut, rowWidth int) {
+	if p == nil {
+		return
+	}
 	pn.Evals++
 	pn.RowsIn += int64(rowsIn)
-	pn.WallNs += int64(wall)
+	pn.WallNs += int64(time.Since(start))
 	pn.RowsOut += int64(rowsOut)
 	pn.AllocBytes += int64(rowsOut) * int64(rowWidth+3) * 8
 }
@@ -195,9 +214,10 @@ func fillMissFactors(n *PlanNode) {
 	}
 }
 
-// flushOpTotals publishes per-operator self time (inclusive wall minus
-// children) and output rows:
+// flushOpTotals publishes per-operator evaluation counts, self time
+// (inclusive wall minus children) and output rows:
 //
+//	lodify_sparql_op_evals_total{op}
 //	lodify_sparql_op_nanos_total{op}
 //	lodify_sparql_op_rows_total{op}
 func (p *profiler) flushOpTotals() {
@@ -212,6 +232,7 @@ func (p *profiler) flushOpTotals() {
 		if self < 0 {
 			self = 0
 		}
+		obs.C("lodify_sparql_op_evals_total", "op", n.Op).Add(n.Evals)
 		obs.C("lodify_sparql_op_nanos_total", "op", n.Op).Add(self)
 		obs.C("lodify_sparql_op_rows_total", "op", n.Op).Add(n.RowsOut)
 	}

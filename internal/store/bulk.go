@@ -214,7 +214,10 @@ func (bl *BulkLoader) AddBatch(quads []rdf.Quad) (int, error) {
 		var wg sync.WaitGroup
 		for k := range st.shards {
 			if len(bl.shardOrder[k]) == 0 {
+				// Untouched this batch: its delta slice still holds the
+				// previous batch's adds, which must not be re-announced.
 				bl.addedBy[k] = 0
+				bl.scratch[k].addedQ = bl.scratch[k].addedQ[:0]
 				continue
 			}
 			wg.Add(1)

@@ -251,3 +251,34 @@ func TestOnCommitConcurrent(t *testing.T) {
 		t.Fatalf("store has %d quads, want %d", st.Len(), writers*per)
 	}
 }
+
+// TestOnCommitBulkDeltaPerBatch: a multi-shard bulk batch announces
+// exactly its own new quads, even when it touches none of the shards
+// the previous batch of the same loader wrote to.
+func TestOnCommitBulkDeltaPerBatch(t *testing.T) {
+	st := NewSharded(8)
+	var dl deltaLog
+	defer st.OnCommit(dl.hook)()
+	bl := st.NewBulkLoader()
+	first := statQuad("p", 0, 0, "")
+	if _, err := bl.AddBatch([]rdf.Quad{first}); err != nil {
+		t.Fatal(err)
+	}
+	// Find a second single-quad batch routed to a different shard.
+	shardOf := func(q rdf.Quad) int {
+		iq, _ := st.dict.internQuads([]rdf.Quad{q}, nil, nil)
+		return st.shardIndex(iq[0].g, iq[0].s)
+	}
+	var second rdf.Quad
+	for i := 1; ; i++ {
+		if second = statQuad("p", i, 0, ""); shardOf(second) != shardOf(first) {
+			break
+		}
+	}
+	if _, err := bl.AddBatch([]rdf.Quad{second}); err != nil {
+		t.Fatal(err)
+	}
+	if len(dl.deltas) != 2 || len(dl.deltas[1].Added) != 1 {
+		t.Fatalf("second batch delta = %+v, want exactly its one add", dl.deltas)
+	}
+}

@@ -150,7 +150,7 @@ func TestStatsShapePinned(t *testing.T) {
 
 // TestConcurrentObservabilityExposition hammers every observability
 // surface while queries and uploads run — the -race gate for the
-// collector ring, slowlog ring, stats sink and SLO evaluator.
+// collector ring, slowlog ring and SLO evaluator.
 func TestConcurrentObservabilityExposition(t *testing.T) {
 	prev := obs.SlowQueries.Threshold()
 	obs.SlowQueries.SetThreshold(0) // capture everything: exercises profile marshalling
@@ -158,8 +158,7 @@ func TestConcurrentObservabilityExposition(t *testing.T) {
 
 	s, _ := server(t)
 	surfaces := []string{
-		"/metrics", "/debug/vars", "/debug/trace/recent", "/debug/slowlog",
-		"/debug/querystats", "/api/stats",
+		"/metrics", "/debug/vars", "/debug/trace/recent", "/debug/slowlog", "/api/stats",
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

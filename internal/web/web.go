@@ -21,7 +21,6 @@ import (
 	"lodify/internal/feed"
 	"lodify/internal/geo"
 	"lodify/internal/obs"
-	"lodify/internal/obs/stats"
 	"lodify/internal/rdf"
 	"lodify/internal/sparql"
 	"lodify/internal/sparql/matview"
@@ -81,7 +80,6 @@ func NewServer(p *ugc.Platform) *Server {
 	// readable even when the instrumented routes are saturated).
 	s.mux.Handle("/debug/slowlog", obs.SlowlogHandler())
 	s.mux.Handle("/debug/trace/recent", obs.TraceRecentHandler())
-	s.mux.Handle("/debug/querystats", stats.Handler())
 	s.mux.Handle("/debug/matviews", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		vs := s.Views.Stats()
 		writeJSON(w, map[string]any{"views": len(vs), "matviews": vs})
